@@ -71,13 +71,7 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
         let initial =
           { Refine.srep_counts = rep_counts; srefined = Array.make m None }
         in
-        let results :
-            [ `Feasible of (int * int) list
-            | `Infeasible
-            | `Failed of Eval.failure ]
-            array =
-          Array.make k `Infeasible
-        in
+        let results : Refine.outcome array = Array.make k `Infeasible in
         let workers =
           let requested =
             match domains with

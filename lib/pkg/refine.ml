@@ -7,66 +7,59 @@ exception Deadline
 exception Solver_failure of Eval.failure
 exception Budget_exhausted
 
-(* Mutable refinement state: a group is either still represented by
-   [rep_counts.(j)] copies of its representative, or fixed to original
-   tuples [refined.(j) = Some entries]. [bases.(j)] caches the optimal
-   root basis of the last refine ILP solved for group [j]: the group's
-   candidate columns never change across backtracking re-solves (only
-   the constraint-bound offsets move), so the next solve for the same
-   group warm-starts from it. *)
-type state = {
-  ctx : Sketch.ctx;
-  rep_counts : float array;
-  refined : (int * int) list option array;
-  bases : Lp.Simplex.Basis.t option array;
-}
+type outcome =
+  [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
 
-let num_constraints st = Array.length st.ctx.Sketch.coeff_rel
+(* Mutable refinement state: a group is either still represented by
+   [srep_counts.(j)] copies of its representative, or fixed to original
+   tuples [srefined.(j) = Some entries]. *)
+type snapshot = {
+  srep_counts : float array;
+  srefined : (int * int) list option array;
+}
 
 (* Contribution of group [j]'s current contents to constraint [ci],
    read through the ctx's precomputed row-coefficient accessors. *)
-let group_contribution st j ci =
-  match st.refined.(j) with
+let group_contribution ctx st j ci =
+  match st.srefined.(j) with
   | Some entries ->
-    let f = st.ctx.Sketch.coeff_rel.(ci) in
+    let f = ctx.Sketch.coeff_rel.(ci) in
     List.fold_left
       (fun acc (row, cnt) -> acc +. (float_of_int cnt *. f row))
       0. entries
   | None ->
-    if st.rep_counts.(j) = 0. then 0.
-    else st.rep_counts.(j) *. st.ctx.Sketch.coeff_reps.(ci) j
+    if st.srep_counts.(j) = 0. then 0.
+    else st.srep_counts.(j) *. ctx.Sketch.coeff_reps.(ci) j
 
 (* Aggregates of the partial package p-bar_j (everything but group j),
    which offset the refine query's constraint bounds. *)
-let offsets_excluding st j =
-  let m = Partition.num_groups st.ctx.Sketch.part in
-  Array.init (num_constraints st) (fun ci ->
+let offsets_excluding ctx st j =
+  let m = Partition.num_groups ctx.Sketch.part in
+  Array.init (Array.length ctx.Sketch.coeff_rel) (fun ci ->
       let acc = ref 0. in
       for i = 0 to m - 1 do
-        if i <> j then acc := !acc +. group_contribution st i ci
+        if i <> j then acc := !acc +. group_contribution ctx st i ci
       done;
       !acc)
 
-(* Solve the refine query Q[Gj]: pick original tuples from group j that
-   combine with the rest of the package to satisfy the query. *)
-let refine_query ?limits ?(clamp = true) ~deadline ~stage st counters j =
-  (match deadline with
-  | Some d when Unix.gettimeofday () > d -> raise Deadline
-  | _ -> ());
-  let candidates = st.ctx.Sketch.cand.(j) in
-  let offsets = offsets_excluding st j in
+let expired = function
+  | Some d -> Unix.gettimeofday () > d
+  | None -> false
+
+(* The refine query Q[Gj]: pick original tuples from group j that
+   combine with the rest of the package (summarized by [offsets]) to
+   satisfy the query. *)
+let solve_query ?limits ?deadline ?warm ?basis_out ~stage ctx counters
+    ~offsets j =
+  let candidates = ctx.Sketch.cand.(j) in
   let problem =
     Paql.Translate.to_problem ~offsets
-      { st.ctx.Sketch.spec with Paql.Translate.where = None }
-      st.ctx.Sketch.rel ~candidates
+      { ctx.Sketch.spec with Paql.Translate.where = None }
+      ctx.Sketch.rel ~candidates
   in
-  let basis_out = ref None in
   let result =
-    Faults.solve ?limits
-      ?deadline:(if clamp then deadline else None)
-      ?warm:st.bases.(j) ~basis_out ~stage ~group:j problem
+    Faults.solve ?limits ?deadline ?warm ?basis_out ~stage ~group:j problem
   in
-  (match !basis_out with Some _ as b -> st.bases.(j) <- b | None -> ());
   Eval.bump counters result;
   match result with
   | Ilp.Branch_bound.Optimal (sol, _) | Ilp.Branch_bound.Feasible (sol, _, _)
@@ -96,9 +89,9 @@ let refine_query ?limits ?(clamp = true) ~deadline ~stage st counters j =
    total number of failed refine queries: greedy backtracking is
    worst-case factorial, and past the budget we declare (possibly
    false) infeasibility so the caller can fall back to the hybrid
-   sketch, which re-anchors the search on real tuples. *)
-let rec refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root st
-    counters todo =
+   sketch, which re-anchors the search on real tuples. [solve] answers
+   one refine query; whatever it raises escapes unchanged. *)
+let rec refine_level ~solve ~deadline ~budget ~at_root ctx st counters todo =
   match todo with
   | [] -> Ok ()
   | _ ->
@@ -110,7 +103,8 @@ let rec refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root st
         match !queue with j :: rest -> j, rest | [] -> assert false
       in
       queue := rest;
-      match refine_query ?limits ~clamp ~deadline ~stage st counters j with
+      if expired deadline then raise Deadline;
+      match solve ~offsets:(offsets_excluding ctx st j) j with
       | `Failed f -> raise (Solver_failure f)
       | `Infeasible ->
         counters.Eval.backtracks <- counters.Eval.backtracks + 1;
@@ -118,20 +112,20 @@ let rec refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root st
         failed := j :: !failed;
         if not at_root then result := Some (Error !failed)
       | `Feasible entries -> (
-        let saved_rep = st.rep_counts.(j) in
-        st.refined.(j) <- Some entries;
-        st.rep_counts.(j) <- 0.;
+        let saved_rep = st.srep_counts.(j) in
+        st.srefined.(j) <- Some entries;
+        st.srep_counts.(j) <- 0.;
         let child_todo = List.filter (fun g -> g <> j) todo in
         match
-          refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root:false
-            st counters child_todo
+          refine_level ~solve ~deadline ~budget ~at_root:false ctx st
+            counters child_todo
         with
         | Ok () -> result := Some (Ok ())
         | Error f ->
           (* undo the speculative refinement and greedily prioritize
              the groups that could not be refined below *)
-          st.refined.(j) <- None;
-          st.rep_counts.(j) <- saved_rep;
+          st.srefined.(j) <- None;
+          st.srep_counts.(j) <- saved_rep;
           failed := f @ !failed;
           let prioritized, others =
             List.partition (fun g -> List.mem g f) !queue
@@ -140,37 +134,17 @@ let rec refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root st
     done;
     (match !result with Some r -> r | None -> Error !failed)
 
-type snapshot = {
-  srep_counts : float array;
-  srefined : (int * int) list option array;
-}
-
-let state_of_snapshot ctx snapshot =
-  {
-    ctx;
-    rep_counts = snapshot.srep_counts;
-    refined = snapshot.srefined;
-    (* parallel workers solve each group once from a snapshot: no
-       re-solve to warm, so every group starts cold *)
-    bases = Array.make (Partition.num_groups ctx.Sketch.part) None;
-  }
-
+(* Parallel workers solve each group once from a snapshot: no re-solve
+   to warm, so every group starts cold. *)
 let solve_group ?limits ?deadline ctx counters snapshot j =
-  let st = state_of_snapshot ctx snapshot in
-  match refine_query ?limits ~deadline ~stage:Eval.Parallel st counters j with
-  | r -> r
-  | exception Deadline ->
+  if expired deadline then
     `Failed (Eval.failure ~stage:Eval.Parallel ~group:j Eval.Deadline_exceeded)
+  else
+    solve_query ?limits ?deadline ~stage:Eval.Parallel ctx counters
+      ~offsets:(offsets_excluding ctx snapshot j) j
 
-let totals ctx snapshot =
-  let st = state_of_snapshot ctx snapshot in
-  let m = Partition.num_groups ctx.Sketch.part in
-  Array.init (num_constraints st) (fun ci ->
-      let acc = ref 0. in
-      for i = 0 to m - 1 do
-        acc := !acc +. group_contribution st i ci
-      done;
-      !acc)
+(* no group has id -1, so nothing is excluded *)
+let totals ctx snapshot = offsets_excluding ctx snapshot (-1)
 
 let within_bounds ?(tol = 1e-6) ctx values =
   List.for_all2
@@ -180,29 +154,45 @@ let within_bounds ?(tol = 1e-6) ctx values =
     (Array.to_list values)
 
 let run ?limits ?deadline ?(clamp = true) ?(max_backtracks = 256)
-    ?(stage = Eval.Refine) ?bases ctx counters ~rep_counts ~refined =
+    ?(stage = Eval.Refine) ?bases ?solve ctx counters ~rep_counts ~refined =
   let m = Partition.num_groups ctx.Sketch.part in
-  let bases =
-    match bases with Some b -> b | None -> Array.make m None
+  let solve =
+    match solve with
+    | Some solve -> solve
+    | None ->
+      (* A group's candidate columns never change across backtracking
+         re-solves (only the offsets move), so each re-solve warm-starts
+         from the group's last optimal root basis. *)
+      let bases =
+        match bases with Some b -> b | None -> Array.make m None
+      in
+      fun ~offsets j ->
+        let basis_out = ref None in
+        let r =
+          solve_query ?limits
+            ?deadline:(if clamp then deadline else None)
+            ?warm:bases.(j) ~basis_out ~stage ctx counters ~offsets j
+        in
+        (match !basis_out with Some _ as b -> bases.(j) <- b | None -> ());
+        r
   in
-  let st = { ctx; rep_counts; refined; bases } in
+  let st = { srep_counts = rep_counts; srefined = refined } in
   let budget = counters.Eval.backtracks + max_backtracks in
   (* Refine biggest representative multiplicities first: they constrain
      the remaining groups the most. (The initial order is arbitrary per
      the paper; this deterministic choice keeps runs reproducible.) *)
   let todo =
     List.filter
-      (fun j -> st.refined.(j) = None && st.rep_counts.(j) > 0.)
+      (fun j -> refined.(j) = None && rep_counts.(j) > 0.)
       (List.init m Fun.id)
-    |> List.sort (fun a b -> compare st.rep_counts.(b) st.rep_counts.(a))
+    |> List.sort (fun a b -> compare rep_counts.(b) rep_counts.(a))
   in
   match
-    refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root:true st
-      counters todo
+    refine_level ~solve ~deadline ~budget ~at_root:true ctx st counters todo
   with
   | Ok () ->
     let entries =
-      Array.to_list st.refined
+      Array.to_list refined
       |> List.concat_map (function Some e -> e | None -> [])
     in
     Refined (Package.make ctx.Sketch.rel entries)

@@ -11,6 +11,28 @@ type result =
       (** greedy backtracking exhausted every ordering *)
   | Refine_failed of Eval.failure  (** solver limit or deadline *)
 
+(** The answer to one refine query Q[Gj]: the original tuples (row id,
+    multiplicity) chosen from group [j], or why there are none. *)
+type outcome =
+  [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
+
+(** [solve_query ~stage ctx counters ~offsets j] solves the refine
+    query Q[Gj] over [ctx.cand.(j)], each constraint's bounds shifted
+    by [offsets] (the aggregates of the rest of the package), through
+    {!Faults.solve}, whose options it passes on. A solver limit or an
+    unbounded ILP is [`Failed]. *)
+val solve_query :
+  ?limits:Ilp.Branch_bound.limits ->
+  ?deadline:float ->
+  ?warm:Lp.Simplex.Basis.t ->
+  ?basis_out:Lp.Simplex.Basis.t option ref ->
+  stage:Eval.stage ->
+  Sketch.ctx ->
+  Eval.counters ->
+  offsets:float array ->
+  int ->
+  outcome
+
 (** [run ?limits ?deadline ctx counters ~rep_counts ~refined] completes
     the sketch package described by [rep_counts] (per-group
     representative multiplicities) and [refined] (groups already fixed
@@ -34,7 +56,13 @@ type result =
     candidate columns, shifted constraint offsets — warm-starts from
     its previous basis ({!Lp.Simplex.resolve}). Passing the same array
     across successive [run] calls over one [ctx] extends the reuse
-    across fallback rungs. *)
+    across fallback rungs.
+
+    [solve ~offsets j] replaces the local refine query (and with it
+    [limits], [clamp], [bases] and the ILP counters); [run] still
+    checks [deadline] and counts backtracks. The shard coordinator
+    passes an RPC solver over a {!Sketch.light_ctx}. Any exception
+    [solve] raises propagates out of [run] unchanged. *)
 val run :
   ?limits:Ilp.Branch_bound.limits ->
   ?deadline:float ->
@@ -42,6 +70,7 @@ val run :
   ?max_backtracks:int ->
   ?stage:Eval.stage ->
   ?bases:Lp.Simplex.Basis.t option array ->
+  ?solve:(offsets:float array -> int -> outcome) ->
   Sketch.ctx ->
   Eval.counters ->
   rep_counts:float array ->
@@ -57,10 +86,10 @@ type snapshot = {
   srefined : (int * int) list option array;
 }
 
-(** [solve_group ?limits ?deadline ctx counters snapshot j] solves the
-    refine query Q[Gj] against the given assignment (everything except
-    group [j] contributes offsets). Runs under the {!Eval.Parallel}
-    stage; an expired [deadline] is reported as a [`Failed] result
+(** [solve_group ?limits ?deadline ctx counters snapshot j] is
+    {!solve_query} against the given assignment (everything except
+    group [j] contributes offsets), cold, under the {!Eval.Parallel}
+    stage. An expired [deadline] is reported as a [`Failed] result
     (never an exception), so worker domains stay crash-contained. *)
 val solve_group :
   ?limits:Ilp.Branch_bound.limits ->
@@ -69,7 +98,7 @@ val solve_group :
   Eval.counters ->
   snapshot ->
   int ->
-  [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
+  outcome
 
 (** [totals ctx snapshot] is the value of each global constraint's
     linear form under the assignment (representatives included). *)

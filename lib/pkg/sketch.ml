@@ -8,6 +8,24 @@ type ctx = {
   coeff_reps : (int -> float) array;
 }
 
+let light_ctx spec rel (part : Partition.t) ~caps =
+  let coeff_of r =
+    Array.of_list
+      (List.map
+         (fun (c : Paql.Translate.compiled_constraint) ->
+           c.Paql.Translate.coeff_rows r)
+         spec.Paql.Translate.constraints)
+  in
+  {
+    spec;
+    rel;
+    part;
+    cand = Array.make (Partition.num_groups part) [||];
+    caps;
+    coeff_rel = coeff_of rel;
+    coeff_reps = coeff_of part.Partition.reps;
+  }
+
 let make_ctx spec rel (part : Partition.t) =
   let keep =
     match spec.Paql.Translate.where with
@@ -24,15 +42,6 @@ let make_ctx spec rel (part : Partition.t) =
         Array.of_list (List.filter keep (Array.to_list g.Partition.members)))
       part.Partition.groups
   in
-  let coeff_of r =
-    Array.of_list
-      (List.map
-         (fun (c : Paql.Translate.compiled_constraint) ->
-           c.Paql.Translate.coeff_rows r)
-         spec.Paql.Translate.constraints)
-  in
-  let coeff_rel = coeff_of rel in
-  let coeff_reps = coeff_of part.Partition.reps in
   let caps =
     Array.map
       (fun c ->
@@ -42,7 +51,7 @@ let make_ctx spec rel (part : Partition.t) =
         if size = 0. then 0. else size *. spec.Paql.Translate.max_count)
       cand
   in
-  { spec; rel; part; cand; caps; coeff_rel; coeff_reps }
+  { (light_ctx spec rel part ~caps) with cand }
 
 type result =
   | Sketched of float array

@@ -23,6 +23,16 @@ type ctx = {
 val make_ctx :
   Paql.Translate.spec -> Relalg.Relation.t -> Partition.t -> ctx
 
+(** [light_ctx spec rel part ~caps] is a context with the given caps
+    and empty candidate arrays, for a caller whose refine queries are
+    solved elsewhere (the shard coordinator). *)
+val light_ctx :
+  Paql.Translate.spec ->
+  Relalg.Relation.t ->
+  Partition.t ->
+  caps:float array ->
+  ctx
+
 type result =
   | Sketched of float array
       (** per-group multiplicity of each representative *)

@@ -981,54 +981,17 @@ let layout_for t rel fp spec =
         l)
 
 (* ------------------------------------------------------------------ *)
-(* The mirrored refine loop                                           *)
+(* The refine RPC                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Coordinator-side copy of [Refine]'s partial-package state: groups
-   still carry [rep_counts] representatives or are fixed to original
-   tuples. The aggregation below reproduces [Refine.group_contribution]
-   / [offsets_excluding] exactly — same iteration order, same float
-   summation — so the offsets a shard receives are bit-identical to
-   the ones a single node would compute. *)
-type rstate = {
-  r_ctx : Pkg.Sketch.ctx;
-  r_rep_counts : float array;
-  r_refined : (int * int) list option array;
-}
-
-let group_contribution st j ci =
-  match st.r_refined.(j) with
-  | Some entries ->
-    let f = st.r_ctx.Pkg.Sketch.coeff_rel.(ci) in
-    List.fold_left
-      (fun acc (row, cnt) -> acc +. (float_of_int cnt *. f row))
-      0. entries
-  | None ->
-    if st.r_rep_counts.(j) = 0. then 0.
-    else st.r_rep_counts.(j) *. st.r_ctx.Pkg.Sketch.coeff_reps.(ci) j
-
-let offsets_excluding st j =
-  let m = Pkg.Partition.num_groups st.r_ctx.Pkg.Sketch.part in
-  let n = Array.length st.r_ctx.Pkg.Sketch.coeff_rel in
-  Array.init n (fun ci ->
-      let acc = ref 0. in
-      for i = 0 to m - 1 do
-        if i <> j then acc := !acc +. group_contribution st i ci
-      done;
-      !acc)
-
-exception Mirror_deadline
-exception Mirror_budget
-exception Mirror_solver of Pkg.Eval.failure
 exception Omit of int * string
 
-(* One refine RPC for group [j]: [Refine.refine_query] with the solve
-   on the owning shard. The deadline check, entry decoding and failure
-   taxonomy match the local path; unreachability raises [Omit] so the
+(* The group solver [Refine.run] drives on the coordinator: the refine
+   query for group [j] is solved on the owning shard (hedged against its
+   replica). The failure taxonomy matches the local path;
+   unreachability raises [Omit], which escapes [Refine.run] so the
    driver can restart without the group. *)
-let rpc_refine t ~layout ~deadline ~stale query st counters j =
-  if Unix.gettimeofday () > deadline then raise Mirror_deadline;
-  let offsets = offsets_excluding st j in
+let rpc_refine t ~layout ~deadline ~stale query counters ~offsets j =
   let remaining = deadline -. Unix.gettimeofday () in
   let budget_ms = max 1 (int_of_float (remaining *. 1000.)) in
   let body = Protocol.render_refine ~gid:j ~budget_ms ~offsets ~query in
@@ -1051,52 +1014,6 @@ let rpc_refine t ~layout ~deadline ~stale query st counters j =
       `Failed
         (Pkg.Eval.failure ~stage:Pkg.Eval.Refine ~group:j
            (Pkg.Eval.Solver_error msg)))
-
-(* [Refine.refine_level] verbatim, with the ILP replaced by the RPC:
-   same speculative refine/undo, same greedy reprioritization of
-   failed groups, same root-level retry semantics and backtrack
-   budget — the healthy distributed search visits the same groups in
-   the same order as a single node. *)
-let rec mirror_level t ~layout ~deadline ~stale ~budget ~at_root query st
-    counters todo =
-  match todo with
-  | [] -> Ok ()
-  | _ ->
-    let failed = ref [] in
-    let queue = ref todo in
-    let result = ref None in
-    while !result = None && !queue <> [] do
-      let j, rest =
-        match !queue with j :: rest -> (j, rest) | [] -> assert false
-      in
-      queue := rest;
-      match rpc_refine t ~layout ~deadline ~stale query st counters j with
-      | `Failed f -> raise (Mirror_solver f)
-      | `Infeasible ->
-        counters.Pkg.Eval.backtracks <- counters.Pkg.Eval.backtracks + 1;
-        if counters.Pkg.Eval.backtracks > budget then raise Mirror_budget;
-        failed := j :: !failed;
-        if not at_root then result := Some (Error !failed)
-      | `Feasible entries -> (
-        let saved_rep = st.r_rep_counts.(j) in
-        st.r_refined.(j) <- Some entries;
-        st.r_rep_counts.(j) <- 0.;
-        let child_todo = List.filter (fun g -> g <> j) todo in
-        match
-          mirror_level t ~layout ~deadline ~stale ~budget ~at_root:false query
-            st counters child_todo
-        with
-        | Ok () -> result := Some (Ok ())
-        | Error f ->
-          st.r_refined.(j) <- None;
-          st.r_rep_counts.(j) <- saved_rep;
-          failed := f @ !failed;
-          let prioritized, others =
-            List.partition (fun g -> List.mem g f) !queue
-          in
-          queue := prioritized @ others)
-    done;
-    (match !result with Some r -> r | None -> Error !failed)
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                   *)
@@ -1156,6 +1073,19 @@ let eval_query t ~deadline query =
             detail = String.concat "; " (List.rev !details);
           }
     in
+    (* an infeasible verdict with groups missing is only degraded: the
+       missing groups may be what sank it *)
+    let infeasible_over step =
+      match degrade Pkg.Eval.Infeasible with
+      | Pkg.Eval.Degraded d ->
+        finish
+          (Pkg.Eval.Degraded
+             { d with Pkg.Eval.detail = Printf.sprintf
+                        "%s; %s infeasible over remaining groups"
+                        d.Pkg.Eval.detail step })
+          None None
+      | status -> finish status None None
+    in
     let scatter_timeout () =
       Float.max 0.05
         (Float.min t.cfg.rpc_seconds (deadline -. Unix.gettimeofday ()))
@@ -1199,25 +1129,9 @@ let eval_query t ~deadline query =
     (* The light context: candidate arrays stay empty (refines run on
        the shards), but the caps, representative relation and
        row-coefficient accessors feed the local sketch ILP and the
-       offset aggregation — identical inputs to a single node's. *)
-    let coeff_of r =
-      Array.of_list
-        (List.map
-           (fun (c : Paql.Translate.compiled_constraint) ->
-             c.Paql.Translate.coeff_rows r)
-           spec.Paql.Translate.constraints)
-    in
-    let ctx =
-      {
-        Pkg.Sketch.spec;
-        rel;
-        part;
-        cand = Array.make m [||];
-        caps;
-        coeff_rel = coeff_of rel;
-        coeff_reps = coeff_of part.Pkg.Partition.reps;
-      }
-    in
+       offset aggregation — identical inputs to a single node's. [caps]
+       is shared, so the shading below edits the context's caps. *)
+    let ctx = Pkg.Sketch.light_ctx spec rel part ~caps in
     let limits =
       {
         t.cfg.limits with
@@ -1263,17 +1177,7 @@ let eval_query t ~deadline query =
                  (fun g c -> if List.mem g ok then c else 0.)
                  level_caps.(l)
            in
-           let ctx_l =
-             {
-               Pkg.Sketch.spec;
-               rel;
-               part = part_l;
-               cand = Array.make (Pkg.Partition.num_groups part_l) [||];
-               caps = caps_l;
-               coeff_rel = ctx.Pkg.Sketch.coeff_rel;
-               coeff_reps = coeff_of part_l.Pkg.Partition.reps;
-             }
-           in
+           let ctx_l = Pkg.Sketch.light_ctx spec rel part_l ~caps:caps_l in
            match
              Pkg.Eval.observe_stage Pkg.Eval.Progressive (fun () ->
                  Pkg.Sketch.run ~limits ~deadline ~stage:Pkg.Eval.Progressive
@@ -1323,16 +1227,8 @@ let eval_query t ~deadline query =
       | Pkg.Sketch.Sketch_failed f -> finish (Pkg.Eval.Failed f) None None
       | Pkg.Sketch.Sketch_infeasible ->
         (* no distributed hybrid-sketch fallback: with every group
-           reachable this is a genuine [infeasible]; with omissions it
-           degrades, because the missing caps may be what sank it *)
-        (match degrade Pkg.Eval.Infeasible with
-        | Pkg.Eval.Degraded d ->
-          finish
-            (Pkg.Eval.Degraded
-               { d with Pkg.Eval.detail = d.Pkg.Eval.detail
-                        ^ "; sketch infeasible over remaining groups" })
-            None None
-        | status -> finish status None None)
+           reachable this is a genuine [infeasible] *)
+        infeasible_over "sketch"
       | Pkg.Sketch.Sketched rep_counts0 -> (
         (* The refine driver restarts from the sketch solution when a
            group becomes unreachable mid-refine: the group is omitted
@@ -1342,51 +1238,23 @@ let eval_query t ~deadline query =
           let rep_counts = Array.copy rep_counts0 in
           List.iter (fun g -> rep_counts.(g) <- 0.) !omitted;
           stale := List.filter (fun g -> not (List.mem g !omitted)) !stale;
-          let refined = Array.make m None in
-          let st = { r_ctx = ctx; r_rep_counts = rep_counts;
-                     r_refined = refined } in
-          let budget = counters.Pkg.Eval.backtracks + 256 in
-          let todo =
-            List.filter
-              (fun j -> refined.(j) = None && rep_counts.(j) > 0.)
-              (List.init m Fun.id)
-            |> List.sort (fun a b -> compare rep_counts.(b) rep_counts.(a))
-          in
           match
             Pkg.Eval.observe_stage Pkg.Eval.Refine (fun () ->
-                mirror_level t ~layout ~deadline ~stale ~budget ~at_root:true
-                  query st counters todo)
+                Pkg.Refine.run ~deadline
+                  ~solve:(rpc_refine t ~layout ~deadline ~stale query counters)
+                  ctx counters ~rep_counts ~refined:(Array.make m None))
           with
-          | Ok () ->
-            let entries =
-              Array.to_list refined
-              |> List.concat_map (function Some e -> e | None -> [])
-            in
-            let p = Pkg.Package.make rel entries in
+          | Pkg.Refine.Refined p ->
             finish (degrade Pkg.Eval.Optimal) (Some p)
               (Some (Pkg.Package.objective spec p))
-          | Error _ -> (
-            match degrade Pkg.Eval.Infeasible with
-            | Pkg.Eval.Degraded d ->
-              finish
-                (Pkg.Eval.Degraded
-                   { d with Pkg.Eval.detail = d.Pkg.Eval.detail
-                            ^ "; refine infeasible over remaining groups" })
-                None None
-            | status -> finish status None None)
+          | Pkg.Refine.Refine_infeasible -> infeasible_over "refine"
+          | Pkg.Refine.Refine_failed f -> finish (Pkg.Eval.Failed f) None None
           | exception Omit (j, msg) ->
             Metrics.incr t.metrics "shard_omitted_groups";
             Log.warn (fun k -> k "%s" msg);
             omitted := j :: !omitted;
             details := msg :: !details;
             drive ()
-          | exception Mirror_deadline ->
-            finish
-              (Pkg.Eval.failed ~stage:Pkg.Eval.Refine
-                 Pkg.Eval.Deadline_exceeded)
-              None None
-          | exception Mirror_budget -> finish (degrade Pkg.Eval.Infeasible) None None
-          | exception Mirror_solver f -> finish (Pkg.Eval.Failed f) None None
         in
         try drive ()
         with e ->

@@ -19,15 +19,17 @@
 
     plan locally -> SKETCH scatter (per-group WHERE-filtered candidate
     counts -> sketch ILP caps) -> solve the sketch ILP locally over the
-    representative relation -> mirror the sequential greedy-backtracking
-    refine loop (Algorithm 2), with each group's refine ILP dispatched
-    to its owning shard as a REFINE RPC carrying the partial package's
-    constraint-bound offsets as hex floats (bit-identical on both
-    sides). Shards solve refine ILPs {e cold} (no warm-start), so a
-    failover or hedged duplicate computes the identical answer on the
-    primary or its replica — and a fully healthy run is byte-identical
-    to a single [pkgq_server --method sketchrefine] for queries that
-    need no fallback ladder. The distributed path has no hybrid-sketch
+    representative relation -> run the sequential greedy-backtracking
+    refine loop (Algorithm 2) itself, {!Pkg.Refine.run}, with an RPC
+    group solver: each group's refine query is dispatched to its owning
+    shard as a REFINE RPC carrying the offsets [Refine.run] computed for
+    it, as hex floats (bit-identical on both sides), and the shard
+    answers through {!Pkg.Refine.solve_query}, the same per-group query
+    a single node solves. Shards solve refine ILPs {e cold} (no
+    warm-start), so a failover or hedged duplicate computes the
+    identical answer on the primary or its replica — and a fully
+    healthy run is byte-identical to a single [pkgq_server --method
+    sketchrefine] for queries that need no fallback ladder. The distributed path has no hybrid-sketch
     fallback: a refine-infeasible query answers [infeasible] where a
     single node might still find a package (documented limitation).
 

@@ -145,6 +145,8 @@ val parse_counts : string -> (int * int) list
 val render_refine : gid:int -> budget_ms:int -> offsets:float array ->
   query:string -> string
 
+(** Raises {!Protocol_error} on a malformed body, a non-positive
+    budget or a non-finite offset. *)
 val parse_refine : string -> int * int * float array * string
 
 (** REFINE response body: line 1 is [feasible] / [infeasible] /

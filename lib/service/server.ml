@@ -1021,11 +1021,12 @@ let handle_sketch t query =
           in
           Protocol.Resp_ok (Protocol.render_counts counts)))
 
-(* One refine ILP, mirroring [Refine.refine_query] exactly — same
-   problem construction, same fault/deadline choke point — minus the
-   warm-start basis: a cold solve is position-independent, so a
-   failover or hedged duplicate of this request computes the identical
-   answer on either the primary or its replica. *)
+(* One refine query, solved by [Refine.solve_query] — the same
+   problem construction and fault/deadline choke point as a single
+   node — minus the warm-start basis: a cold solve is
+   position-independent, so a failover or hedged duplicate of this
+   request computes the identical answer on either the primary or its
+   replica. *)
 let handle_refine t body =
   Metrics.incr t.metrics "shard_refines";
   match Protocol.parse_refine body with
@@ -1053,59 +1054,27 @@ let handle_refine t body =
                     (Array.length offsets)
                     (List.length spec.Paql.Translate.constraints) )
             else begin
-              let budget = float_of_int budget_ms /. 1000. in
-              let deadline = Unix.gettimeofday () +. budget in
-              let limits =
-                {
-                  t.cfg.limits with
-                  Ilp.Branch_bound.max_seconds =
-                    Float.min t.cfg.limits.Ilp.Branch_bound.max_seconds budget;
-                }
-              in
-              let candidates = ctx.Pkg.Sketch.cand.(gid) in
-              let problem =
-                Paql.Translate.to_problem ~offsets
-                  { spec with Paql.Translate.where = None }
-                  ctx.Pkg.Sketch.rel ~candidates
+              (* the deadline also clamps the ILP's time limit *)
+              let deadline =
+                Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.)
               in
               let outcome =
                 Metrics.time t.metrics "shard_refine" (fun () ->
-                    try
-                      Ok
-                        (Pkg.Faults.solve ~limits ~deadline
-                           ~stage:Pkg.Eval.Refine ~group:gid problem)
-                    with Pkg.Faults.Injected msg -> Error msg)
+                    match
+                      Pkg.Refine.solve_query ~limits:t.cfg.limits ~deadline
+                        ~stage:Pkg.Eval.Refine ctx
+                        (Pkg.Eval.fresh_counters ()) ~offsets gid
+                    with
+                    | `Feasible entries -> Protocol.Refine_feasible entries
+                    | `Infeasible -> Protocol.Refine_infeasible
+                    | `Failed f ->
+                      Protocol.Refine_failed
+                        (Format.asprintf "%a" Pkg.Eval.pp_failure f)
+                    | exception Pkg.Faults.Injected msg ->
+                      Protocol.Refine_failed ("injected: " ^ msg))
               in
               sync_solver_gauges t.metrics;
-              let render r =
-                Protocol.Resp_ok (Protocol.render_refine_result r)
-              in
-              match outcome with
-              | Error msg ->
-                render (Protocol.Refine_failed ("injected: " ^ msg))
-              | Ok
-                  ( Ilp.Branch_bound.Optimal (sol, _)
-                  | Ilp.Branch_bound.Feasible (sol, _, _) ) ->
-                let entries = ref [] in
-                Array.iteri
-                  (fun k row ->
-                    let c =
-                      int_of_float (Float.round sol.Ilp.Branch_bound.x.(k))
-                    in
-                    if c > 0 then entries := (row, c) :: !entries)
-                  candidates;
-                render (Protocol.Refine_feasible (List.rev !entries))
-              | Ok (Ilp.Branch_bound.Infeasible _) ->
-                render Protocol.Refine_infeasible
-              | Ok (Ilp.Branch_bound.Unbounded _) ->
-                render (Protocol.Refine_failed "refine query unbounded")
-              | Ok (Ilp.Branch_bound.Limit st) ->
-                let f =
-                  Pkg.Eval.limit_failure ~stage:Pkg.Eval.Refine ~group:gid st
-                in
-                render
-                  (Protocol.Refine_failed
-                     (Format.asprintf "%a" Pkg.Eval.pp_failure f))
+              Protocol.Resp_ok (Protocol.render_refine_result outcome)
             end)
 
 let handle_conn t fd =

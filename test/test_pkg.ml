@@ -410,6 +410,125 @@ let test_refine_totals_helpers () =
   checkb "within bounds" true (Pkg.Refine.within_bounds ctx totals)
 
 (* ------------------------------------------------------------------ *)
+(* The refine loop with caller-supplied group solvers                 *)
+(* ------------------------------------------------------------------ *)
+
+let galaxy_small = Datagen.Galaxy.generate ~seed:5 64
+
+(* A sketched Galaxy instance whose narrow SUM window makes the refine
+   loop backtrack: the full context and the sketch's representative
+   counts. *)
+let galaxy_refine_setup () =
+  let q =
+    "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 SUCH THAT COUNT(P.*) = 8 \
+     AND SUM(P.redshift) BETWEEN 0.9 AND 0.91 MAXIMIZE SUM(P.petro_rad)"
+  in
+  let spec = compile galaxy_small q in
+  let part =
+    Pkg.Partition.create ~tau:12 ~attrs:[ "redshift"; "petro_rad" ]
+      galaxy_small
+  in
+  let ctx = Pkg.Sketch.make_ctx spec galaxy_small part in
+  let rep_counts =
+    match Pkg.Sketch.run ctx (Pkg.Eval.fresh_counters ()) with
+    | Pkg.Sketch.Sketched c -> c
+    | _ -> Alcotest.fail "sketch did not solve"
+  in
+  (ctx, rep_counts)
+
+let run_refine ?solve ctx counters rep_counts =
+  Pkg.Refine.run ?solve ctx counters ~rep_counts:(Array.copy rep_counts)
+    ~refined:(Array.make (Pkg.Partition.num_groups ctx.Pkg.Sketch.part) None)
+
+let package_of = function
+  | Pkg.Refine.Refined p -> Format.asprintf "%a" Pkg.Package.pp p
+  | Pkg.Refine.Refine_infeasible -> Alcotest.fail "refine infeasible"
+  | Pkg.Refine.Refine_failed _ -> Alcotest.fail "refine failed"
+
+(* The fleet's property: a solver that answers each group's refine
+   query elsewhere, over a context without candidate arrays, is asked
+   the same (group, offsets) sequence and yields the same package as
+   the default local solver. *)
+let test_refine_solver_recorded () =
+  let ctx, rep_counts = galaxy_refine_setup () in
+  let c_default = Pkg.Eval.fresh_counters () in
+  let expected = package_of (run_refine ctx c_default rep_counts) in
+  let recording () =
+    let calls = ref [] in
+    let counters = Pkg.Eval.fresh_counters () in
+    let solve ~offsets j =
+      calls := (j, Array.copy offsets) :: !calls;
+      Pkg.Refine.solve_query ~stage:Pkg.Eval.Refine ctx counters ~offsets j
+    in
+    (calls, counters, solve)
+  in
+  let calls, counters, solve = recording () in
+  let got = package_of (run_refine ~solve ctx counters rep_counts) in
+  Alcotest.(check string) "same package as the default solver" expected got;
+  checki "same refine queries" c_default.Pkg.Eval.ilp_calls
+    counters.Pkg.Eval.ilp_calls;
+  checki "same backtracks" c_default.Pkg.Eval.backtracks
+    counters.Pkg.Eval.backtracks;
+  checkb "the instance backtracks" true (counters.Pkg.Eval.backtracks > 0);
+  checkb "every query recorded" true
+    (List.length !calls = counters.Pkg.Eval.ilp_calls && !calls <> []);
+  let light =
+    {
+      ctx with
+      Pkg.Sketch.cand =
+        Array.make (Pkg.Partition.num_groups ctx.Pkg.Sketch.part) [||];
+    }
+  in
+  let light_calls, light_counters, light_solve = recording () in
+  let light_got =
+    package_of (run_refine ~solve:light_solve light light_counters rep_counts)
+  in
+  Alcotest.(check string) "light ctx: same package" expected light_got;
+  checkb "light ctx: same (group, offsets) sequence" true
+    (!light_calls = !calls)
+
+(* Algorithm 2 on a scripted solver: four groups queued by
+   representative count (g0..g3), every answer feasible except g3's
+   first two. g3 first fails below g2, then again as the only
+   alternative there, so the level under g0 reprioritizes g3 ahead of
+   g2 and the search completes from there. *)
+let test_refine_solver_scripted_backtrack () =
+  let ctx, _ = galaxy_refine_setup () in
+  let m = Pkg.Partition.num_groups ctx.Pkg.Sketch.part in
+  checkb "enough groups" true (m >= 4);
+  let rep_counts = Array.make m 0. in
+  List.iteri (fun k g -> rep_counts.(g) <- float_of_int (4 - k)) [ 0; 1; 2; 3 ];
+  let visits = ref [] in
+  let g3_calls = ref 0 in
+  let solve ~offsets:_ j =
+    visits := j :: !visits;
+    if j = 3 then incr g3_calls;
+    if j = 3 && !g3_calls <= 2 then `Infeasible else `Feasible []
+  in
+  let counters = Pkg.Eval.fresh_counters () in
+  (match run_refine ~solve ctx counters rep_counts with
+  | Pkg.Refine.Refined p -> checki "empty package" 0 (Pkg.Package.cardinality p)
+  | _ -> Alcotest.fail "expected a refined package");
+  Alcotest.(check (list int))
+    "reprioritized visit order" [ 0; 1; 2; 3; 3; 3; 1; 2 ] (List.rev !visits);
+  checki "backtracks" 2 counters.Pkg.Eval.backtracks;
+  checki "a caller's solver does its own ILP accounting" 0
+    counters.Pkg.Eval.ilp_calls
+
+exception Unreachable_group of int
+
+(* The coordinator restarts without a group whose shard is gone by
+   raising out of its solver: [run] must not swallow the exception. *)
+let test_refine_solver_exception_escapes () =
+  let ctx, rep_counts = galaxy_refine_setup () in
+  let solve ~offsets:_ j = raise (Unreachable_group j) in
+  match run_refine ~solve ctx (Pkg.Eval.fresh_counters ()) rep_counts with
+  | exception Unreachable_group j ->
+    checkb "raised for a group with representatives" true
+      (rep_counts.(j) > 0.)
+  | _ -> Alcotest.fail "the solver's exception did not escape Refine.run"
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -632,6 +751,15 @@ let () =
           Alcotest.test_case "repeat caps" `Quick test_sketch_caps_repeat;
           Alcotest.test_case "refine totals helpers" `Quick
             test_refine_totals_helpers;
+        ] );
+      ( "refine_solver",
+        [
+          Alcotest.test_case "recorded solver matches default" `Quick
+            test_refine_solver_recorded;
+          Alcotest.test_case "scripted backtracking order" `Quick
+            test_refine_solver_scripted_backtrack;
+          Alcotest.test_case "solver exceptions escape" `Quick
+            test_refine_solver_exception_escapes;
         ] );
       ( "properties",
         [

@@ -535,6 +535,40 @@ let test_zombie_split_brain () =
   checki "failover acks" (List.length during) r.Ch.z_failover_acks;
   checki "all phases acked" (List.length (pre @ during @ post)) r.Ch.z_acked
 
+(* A REFINE whose offsets are not finite (or whose budget is not
+   positive) is corrupted input: the shard answers a typed data error
+   instead of solving an ILP that would come back infeasible. *)
+let test_refine_rejects_non_finite () =
+  with_server (fun _t c ->
+      let part = Pkg.Partition.create ~tau ~attrs galaxy in
+      let groups =
+        Array.to_list
+          (Array.mapi
+             (fun gid g -> (gid, g.Pkg.Partition.members))
+             part.Pkg.Partition.groups)
+      in
+      expect_ok "assign" (Cl.roundtrip c (Pr.Assign (Pr.render_assign groups)));
+      let refine ?(budget_ms = 5000) offsets =
+        Cl.roundtrip c
+          (Pr.Refine (Printf.sprintf "0 %d\n%s\n%s" budget_ms offsets q_min))
+      in
+      expect_ok "finite offsets" (refine "0x0p+0 0x1p-1");
+      List.iter
+        (fun (what, resp) ->
+          match resp with
+          | Pr.Resp_err (Pr.Data_error, _) -> ()
+          | Pr.Resp_err (cd, m) ->
+            Alcotest.failf "%s: expected data_error, got %s: %s" what
+              (Pr.code_name cd) m
+          | Pr.Resp_ok body -> Alcotest.failf "%s: answered %S" what body)
+        [
+          ("nan offset", refine "nan 0x0p+0");
+          ("inf offset", refine "0x0p+0 inf");
+          ("-infinity offset", refine "-infinity 0x0p+0");
+          ("zero budget", refine ~budget_ms:0 "0x0p+0 0x0p+0");
+          ("negative budget", refine ~budget_ms:(-5) "0x0p+0 0x0p+0");
+        ])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -566,6 +600,8 @@ let () =
           Alcotest.test_case "injected stall rides the hedge" `Quick
             test_injected_stall_hedges;
           Alcotest.test_case "kill/stall matrix" `Quick test_kill_stall_matrix;
+          Alcotest.test_case "non-finite refine offsets are data errors"
+            `Quick test_refine_rejects_non_finite;
         ] );
       ( "fence",
         [
